@@ -67,6 +67,7 @@ int main(int argc, char **argv) {
     BOpts.Optimize = C.Optimize;
     BOpts.Jit.M = C.Jit;
     BlazeSim Blaze(M, R.TopUnit, BOpts);
+    Blaze.waitForNative(); // Time the native code, not the warm-up.
     double T = timeIt([&] { Blaze.run(); });
     printf("%-34s %10.3f %9.1fx\n", C.Name, T, TInt / T);
     TracesMatch &= Int.trace().digest() == Blaze.trace().digest();

@@ -120,7 +120,7 @@ static std::unique_ptr<Module> compileSuite(Context &Ctx, unsigned Rep) {
 }
 
 int main(int Argc, char **Argv) {
-  unsigned Rep = unsigned(argFloat(Argc, Argv, "rep", 3));
+  unsigned Rep = argCount(Argc, Argv, "rep", 3);
 
   //===------------------------------------------------------------------===//
   // Part 1: the accumulator, Figure 4.

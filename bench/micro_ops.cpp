@@ -238,6 +238,7 @@ static void BM_BlazeLfsr(benchmark::State &State) {
     BlazeSim::BlazeOptions O;
     O.TraceMode = Trace::Mode::Off;
     BlazeSim Sim(M, R.TopUnit, O);
+    Sim.waitForNative();
     benchmark::DoNotOptimize(Sim.run().Steps);
   }
 }

@@ -119,6 +119,7 @@ const SignalTable &BlazeSim::signals() const {
 const Design &BlazeSim::design() const {
   return P->Eng ? P->Eng->D : P->EmptyD;
 }
+bool BlazeSim::waitForNative() { return P->Eng && P->Eng->waitForNative(); }
 const jit::JitStats &BlazeSim::jitStats() const {
   static const jit::JitStats Empty;
   return P->Eng ? P->Eng->jitStats() : Empty;

@@ -79,7 +79,14 @@ public:
   const SignalTable &signals() const;
   /// The elaborated design this engine simulates.
   const Design &design() const;
-  /// What the JIT did at construction (Enabled false when off).
+  /// Blocks until the host compile started at construction has
+  /// finished and switches this engine to the native code (callable
+  /// before run() or from a run-control hook). Construction on an
+  /// object-cache miss returns at once and the run starts interpreted;
+  /// call this when native code is needed from the first instant. True
+  /// when processes are bound to native code.
+  bool waitForNative();
+  /// What the JIT did so far (Enabled false when off).
   const jit::JitStats &jitStats() const;
   /// The generated C++ translation unit ("" when nothing was emitted).
   const std::string &jitSource() const;

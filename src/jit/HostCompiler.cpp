@@ -4,6 +4,7 @@
 #include "jit/Codegen.h" // AbiVersion.
 
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,9 +12,15 @@
 #include <mutex>
 #include <vector>
 
+#include <dirent.h>
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
+
+extern char **environ;
 
 using namespace llhd;
 using namespace llhd::jit;
@@ -35,11 +42,15 @@ bool isExecutable(const std::string &Path) {
   return !Path.empty() && access(Path.c_str(), X_OK) == 0;
 }
 
-/// Resolves a bare command name against PATH.
-bool onPath(const std::string &Cmd) {
+/// Resolves a command name to an executable path: names containing a
+/// '/' are taken as they are, bare names are searched on PATH. Empty
+/// when nothing executable is found.
+std::string resolveExe(const std::string &Cmd) {
+  if (Cmd.find('/') != std::string::npos)
+    return isExecutable(Cmd) ? Cmd : "";
   const char *Path = getenv("PATH");
   if (!Path)
-    return false;
+    return "";
   std::string P(Path);
   size_t Pos = 0;
   while (Pos <= P.size()) {
@@ -48,10 +59,10 @@ bool onPath(const std::string &Cmd) {
       End = P.size();
     std::string Dir = P.substr(Pos, End - Pos);
     if (!Dir.empty() && isExecutable(Dir + "/" + Cmd))
-      return true;
+      return Dir + "/" + Cmd;
     Pos = End + 1;
   }
-  return false;
+  return "";
 }
 
 std::string readFile(const std::string &Path) {
@@ -76,13 +87,148 @@ bool writeFile(const std::string &Path, const std::string &Data) {
   return Ok;
 }
 
+/// Removes a build's temp dir: our jit.* files plus whatever the
+/// compiler left in it (its own temp files when it was killed). A
+/// killed tool still exiting may create one more file, so a non-empty
+/// dir is retried briefly.
 void removeTree(const std::string &Dir) {
-  for (const char *Name : {"jit.cpp", "jit.so", "jit.log"})
-    unlink((Dir + "/" + Name).c_str());
-  rmdir(Dir.c_str());
+  for (int Try = 0; Try != 100; ++Try) {
+    if (DIR *D = opendir(Dir.c_str())) {
+      while (dirent *E = readdir(D))
+        if (strcmp(E->d_name, ".") != 0 && strcmp(E->d_name, "..") != 0)
+          unlink((Dir + "/" + E->d_name).c_str());
+      closedir(D);
+    }
+    if (rmdir(Dir.c_str()) == 0 || errno != ENOTEMPTY)
+      return;
+    usleep(1000);
+  }
+}
+
+/// The process-wide object map (source hash -> loaded handle) and the
+/// lock that serializes builds. MapMu guards only the map, so probes
+/// never wait behind a running compile.
+struct ObjectCache {
+  std::mutex MapMu;
+  std::map<uint64_t, void *> Map;
+  std::mutex BuildMu;
+
+  void *find(uint64_t Key) {
+    std::lock_guard<std::mutex> Lock(MapMu);
+    auto It = Map.find(Key);
+    return It == Map.end() ? nullptr : It->second;
+  }
+  void insert(uint64_t Key, void *H) {
+    std::lock_guard<std::mutex> Lock(MapMu);
+    Map.emplace(Key, H);
+  }
+};
+
+ObjectCache &objectCache() {
+  static ObjectCache C;
+  return C;
+}
+
+/// Shell-style quoting, only for the command line shown in messages.
+std::string quoted(const std::string &S) { return "'" + S + "'"; }
+
+/// A snapshot of this process's environment for the compiler, taken on
+/// the probing thread so a background build never reads `environ`.
+std::vector<std::string> environment() {
+  std::vector<std::string> Env;
+  for (char **E = environ; E && *E; ++E)
+    Env.push_back(*E);
+  return Env;
 }
 
 } // namespace
+
+void CompileJob::cancel() {
+  std::lock_guard<std::mutex> Lock(Mu);
+  Cancelled = true;
+  if (Group > 0)
+    kill(-Group, SIGKILL);
+}
+
+bool CompileJob::cancelled() {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Cancelled;
+}
+
+int HostCompiler::spawnAndWait(const std::string &Exe,
+                               const std::vector<std::string> &Argv,
+                               const std::vector<std::string> &Env,
+                               const std::string &Log, CompileJob *Job,
+                               std::string &Err) {
+  std::vector<char *> A, E;
+  for (const std::string &S : Argv)
+    A.push_back(const_cast<char *>(S.c_str()));
+  A.push_back(nullptr);
+  for (const std::string &S : Env)
+    E.push_back(const_cast<char *>(S.c_str()));
+  E.push_back(nullptr);
+
+  posix_spawn_file_actions_t FA;
+  posix_spawn_file_actions_init(&FA);
+  posix_spawn_file_actions_addopen(&FA, 0, "/dev/null", O_RDONLY, 0);
+  posix_spawn_file_actions_addopen(&FA, 1, Log.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  posix_spawn_file_actions_adddup2(&FA, 1, 2);
+  // Default dispositions and an empty mask whatever the spawning thread
+  // has, and a process group of its own.
+  posix_spawnattr_t At;
+  posix_spawnattr_init(&At);
+  sigset_t None, Dflt;
+  sigemptyset(&None);
+  sigemptyset(&Dflt);
+  for (int Sig : {SIGINT, SIGTERM, SIGHUP, SIGPIPE, SIGQUIT})
+    sigaddset(&Dflt, Sig);
+  posix_spawnattr_setsigmask(&At, &None);
+  posix_spawnattr_setsigdefault(&At, &Dflt);
+  posix_spawnattr_setpgroup(&At, 0);
+  posix_spawnattr_setflags(&At, POSIX_SPAWN_SETPGROUP |
+                                    POSIX_SPAWN_SETSIGMASK |
+                                    POSIX_SPAWN_SETSIGDEF);
+  pid_t Pid = 0;
+  int Rc;
+  {
+    std::unique_lock<std::mutex> Lock;
+    if (Job)
+      Lock = std::unique_lock<std::mutex>(Job->Mu);
+    if (Job && Job->Cancelled) {
+      Rc = ECANCELED;
+    } else {
+      Rc = Exe.empty() ? ENOENT
+                       : posix_spawn(&Pid, Exe.c_str(), &FA, &At, A.data(),
+                                     E.data());
+      if (Rc == 0 && Job)
+        Job->Group = Pid;
+    }
+  }
+  posix_spawn_file_actions_destroy(&FA);
+  posix_spawnattr_destroy(&At);
+  if (Rc != 0) {
+    Err = Rc == ECANCELED ? "cancelled"
+                          : std::string("cannot start the host compiler: ") +
+                                strerror(Rc);
+    return -1;
+  }
+
+  // Wait without reaping first: while the exited leader is a zombie its
+  // pid, and so its process-group id, cannot be reused, so a concurrent
+  // cancel() never signals an unrelated group.
+  siginfo_t Info;
+  while (waitid(P_PID, Pid, &Info, WEXITED | WNOWAIT) != 0 && errno == EINTR)
+    continue;
+  if (Job) {
+    std::lock_guard<std::mutex> Lock(Job->Mu);
+    Job->Group = 0;
+  }
+  int Status = 0;
+  while (waitpid(Pid, &Status, 0) < 0 && errno == EINTR)
+    continue;
+  return Status;
+}
 
 std::string HostCompiler::findCompiler() {
   // 1. The test/override hook: used verbatim, even when bogus — a bad
@@ -97,7 +243,7 @@ std::string HostCompiler::findCompiler() {
 #endif
   // 3. Whatever the environment offers.
   for (const char *Cand : {"c++", "g++", "clang++"})
-    if (onPath(Cand))
+    if (!resolveExe(Cand).empty())
       return Cand;
   return "";
 }
@@ -121,7 +267,27 @@ static void *loadAndCheck(const std::string &So, std::string &Err) {
   return H;
 }
 
-CompileResult HostCompiler::compile(const std::string &Source) {
+/// Serves \p Req from the process-wide map, then from the published
+/// on-disk object; null on a miss.
+static void *lookup(const CompileRequest &Req) {
+  ObjectCache &C = objectCache();
+  if (void *H = C.find(Req.Key))
+    return H;
+  // Objects land in $LLHD_JIT_CACHE via atomic rename (build()), so a
+  // concurrent process sees either nothing or a complete object.
+  if (Req.Published.empty() || access(Req.Published.c_str(), R_OK) != 0)
+    return nullptr;
+  std::string LoadErr;
+  void *H = loadAndCheck(Req.Published, LoadErr);
+  // A stale or foreign object is a miss: build() recompiles and the
+  // publish replaces it atomically.
+  if (H)
+    C.insert(Req.Key, H);
+  return H;
+}
+
+CompileResult HostCompiler::probe(const std::string &Source,
+                                  CompileRequest &Req) {
   CompileResult R;
   R.Compiler = findCompiler();
   if (R.Compiler.empty()) {
@@ -131,107 +297,120 @@ CompileResult HostCompiler::compile(const std::string &Source) {
   }
   R.CompilerFound = true;
 
-  // The whole compile-and-load path runs under one lock: concurrent
-  // callers racing on the same source (batch instances JITting one
-  // program) get exactly one compilation, and the cache map is never
-  // mutated under a reader. Distinct sources serialize too — compiles
-  // happen once per program build, never on the simulation hot path.
-  static std::mutex CacheMu;
-  static std::map<uint64_t, void *> Cache;
-  std::lock_guard<std::mutex> Lock(CacheMu);
-
   // Availability is checked before the cache so that a run with the
   // compiler disabled can never be satisfied by an earlier run's
   // cached object.
-  uint64_t Key = fnv1a(R.Compiler + '\0' + Source);
-  auto It = Cache.find(Key);
-  if (It != Cache.end()) {
-    R.Handle = It->second;
-    return R;
-  }
-
+  Req.Compiler = R.Compiler;
+  Req.Exe = resolveExe(R.Compiler);
+  Req.Source = Source;
+  Req.Key = fnv1a(R.Compiler + '\0' + Source);
+  const char *Base = getenv("LLHD_JIT_TMPDIR");
+  if (!Base)
+    Base = getenv("TMPDIR");
+  Req.TmpBase = Base ? Base : "/tmp";
+  Req.Keep = getenv("LLHD_JIT_KEEP") != nullptr;
+  Req.Published.clear();
   // Optional cross-process object cache: $LLHD_JIT_CACHE names a
   // directory of compiled objects keyed by (compiler, source, ABI).
-  // Objects land there via atomic rename (below), so a concurrent
-  // process sees either nothing or a complete object — never a torn
-  // write.
-  std::string Published;
   if (const char *CacheDir = getenv("LLHD_JIT_CACHE")) {
     if (*CacheDir) {
       mkdir(CacheDir, 0777); // Best-effort; may already exist.
       char Hex[17];
       snprintf(Hex, sizeof(Hex), "%016llx",
-               static_cast<unsigned long long>(Key));
-      Published = std::string(CacheDir) + "/llhd-jit-" + Hex + "-abi" +
-                  std::to_string(AbiVersion) + ".so";
-      if (access(Published.c_str(), R_OK) == 0) {
-        std::string LoadErr;
-        if (void *H = loadAndCheck(Published, LoadErr)) {
-          Cache[Key] = H;
-          R.Handle = H;
-          return R;
-        }
-        // Stale or foreign object: fall through and recompile (the
-        // publish below replaces it atomically).
-      }
+               static_cast<unsigned long long>(Req.Key));
+      Req.Published = std::string(CacheDir) + "/llhd-jit-" + Hex + "-abi" +
+                      std::to_string(AbiVersion) + ".so";
     }
   }
+  R.Handle = lookup(Req);
+  if (!R.ok())
+    Req.Env = environment();
+  return R;
+}
 
-  const char *Base = getenv("LLHD_JIT_TMPDIR");
-  if (!Base)
-    Base = getenv("TMPDIR");
-  if (!Base)
-    Base = "/tmp";
-  std::string Templ = std::string(Base) + "/llhd-jit-XXXXXX";
+CompileResult HostCompiler::build(const CompileRequest &Req,
+                                  CompileJob *Job) {
+  CompileResult R;
+  R.Compiler = Req.Compiler;
+  R.CompilerFound = true;
+
+  // One build at a time, process-wide: concurrent callers racing on the
+  // same source (batch instances JITting one program) get exactly one
+  // compilation — the loser finds the winner's object below.
+  std::lock_guard<std::mutex> Lock(objectCache().BuildMu);
+  if ((R.Handle = lookup(Req)))
+    return R;
+
+  std::string Templ = Req.TmpBase + "/llhd-jit-XXXXXX";
   std::vector<char> Dir(Templ.begin(), Templ.end());
   Dir.push_back('\0');
   if (!mkdtemp(Dir.data())) {
-    R.Error = std::string("cannot create temp dir under '") + Base +
+    R.Error = "cannot create temp dir under '" + Req.TmpBase +
               "': " + strerror(errno);
     return R;
   }
   std::string D(Dir.data());
   std::string Src = D + "/jit.cpp", So = D + "/jit.so", Log = D + "/jit.log";
-  bool Keep = getenv("LLHD_JIT_KEEP") != nullptr;
-
-  if (!writeFile(Src, Source)) {
-    R.Error = "cannot write '" + Src + "': " + strerror(errno);
-    if (!Keep)
+  auto fail = [&](std::string Msg) {
+    R.Error = std::move(Msg);
+    if (!Req.Keep)
       removeTree(D);
     return R;
-  }
+  };
 
-  R.Command = "'" + R.Compiler + "' -std=c++17 -O2 -fPIC -shared -o '" +
-              So + "' '" + Src + "' > '" + Log + "' 2>&1";
-  int Rc = system(R.Command.c_str());
-  if (Rc != 0) {
+  if (!writeFile(Src, Req.Source))
+    return fail("cannot write '" + Src + "': " + strerror(errno));
+
+  std::vector<std::string> Argv = {Req.Compiler, "-std=c++17", "-O2",
+                                   "-fPIC", "-shared", "-o", So, Src};
+  // The compiler's own temp files (cc*.s, ...) go into the build's dir
+  // too, so removing the dir cleans up even after a cancel killed the
+  // compiler mid-way.
+  std::vector<std::string> Env;
+  for (const std::string &E : Req.Env)
+    if (E.rfind("TMPDIR=", 0) != 0)
+      Env.push_back(E);
+  Env.push_back("TMPDIR=" + D);
+  for (const std::string &A : Argv)
+    R.Command += (R.Command.empty() ? "" : " ") +
+                 (A[0] == '-' ? A : quoted(A));
+  std::string SpawnErr;
+  int Status = spawnAndWait(Req.Exe, Argv, Env, Log, Job, SpawnErr);
+  if (Status < 0)
+    return fail(SpawnErr + ": " + R.Command);
+  if (!WIFEXITED(Status) || WEXITSTATUS(Status) != 0) {
     R.Diagnostics = readFile(Log);
-    R.Error = "host compiler failed (exit status " + std::to_string(Rc) +
-              "): " + R.Command;
-    if (!Keep)
-      removeTree(D);
-    return R;
+    return fail("host compiler " +
+                (WIFSIGNALED(Status)
+                     ? "killed by signal " + std::to_string(WTERMSIG(Status))
+                     : "failed (exit status " +
+                           std::to_string(WEXITSTATUS(Status)) + ")") +
+                ": " + R.Command);
   }
 
   std::string LoadErr;
   void *H = loadAndCheck(So, LoadErr);
-  if (!H) {
-    R.Error = LoadErr;
-    if (!Keep)
-      removeTree(D);
-    return R;
-  }
+  if (!H)
+    return fail(LoadErr);
   // Publish into the cross-process cache: rename is atomic within a
   // filesystem, so readers never see a partial object. EXDEV (cache on
   // another filesystem) just skips persistence. The already-loaded
   // mapping survives the rename (same inode).
-  if (!Published.empty())
-    rename(So.c_str(), Published.c_str());
+  if (!Req.Published.empty())
+    rename(So.c_str(), Req.Published.c_str());
   // The mapping survives unlinking the file; only the handle matters.
-  if (!Keep)
+  if (!Req.Keep)
     removeTree(D);
 
-  Cache[Key] = H;
+  objectCache().insert(Req.Key, H);
   R.Handle = H;
   return R;
+}
+
+CompileResult HostCompiler::compile(const std::string &Source) {
+  CompileRequest Req;
+  CompileResult R = probe(Source, Req);
+  if (R.ok() || !R.CompilerFound)
+    return R;
+  return build(Req);
 }

@@ -11,6 +11,8 @@
 #ifndef LLHD_JIT_JIT_H
 #define LLHD_JIT_JIT_H
 
+#include "support/Time.h"
+
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,16 +37,32 @@ struct JitOptions {
   std::string ForceDeopt;
 };
 
+/// How native code reached a run (DESIGN.md, "Tiered compilation").
+enum class Tier : uint8_t {
+  None,      ///< JIT off, or no process unit admitted.
+  CacheHit,  ///< Object found at build: native from the first instant.
+  Compiling, ///< Host compile still running; processes interpreted.
+  Switched,  ///< Compiled in the background; switched at SwitchTime.
+  Failed,    ///< No usable compiler or object; interpreted throughout.
+};
+
 /// What the JIT did for one engine build; see LirEngine::jitStats().
 struct JitStats {
   bool Enabled = false;       ///< Mode was On or Dump.
   bool CompilerFound = false; ///< A host compiler was discovered.
   bool Compiled = false;      ///< The shared object loaded and bound.
-  double CompileSeconds = 0;  ///< Plan + emit + host compile + dlopen.
+  /// Plan + emit + cache probe, plus host compile + dlopen once done.
+  double CompileSeconds = 0;
   unsigned NativeUnits = 0;   ///< Process units running as native code.
   unsigned DeoptUnits = 0;    ///< Process units kept on the interpreter.
   unsigned NativeProcs = 0;   ///< Process instances bound to native code.
   unsigned InterpProcs = 0;   ///< Process instances interpreted.
+  Tier Outcome = Tier::None;
+  /// Tier::Switched: the first instant this run executed natively.
+  Time SwitchTime;
+  /// $LLHD_JIT_CACHE is set: a compile still running when the program
+  /// is destroyed is finished and published instead of cancelled.
+  bool Persist = false;
   /// (unit name, reason) for every deopted unit, in plan order.
   std::vector<std::pair<std::string, std::string>> Deopts;
   /// Set when the whole engine degraded to interpretation (no compiler,

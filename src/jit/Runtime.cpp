@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <dlfcn.h>
 #include <set>
+#include <system_error>
 
 using namespace llhd;
 using namespace llhd::jit;
@@ -84,15 +85,62 @@ const LlhdJitApi *jit::apiTable() {
 // JitModule
 //===----------------------------------------------------------------------===//
 
+JitModule::~JitModule() {
+  if (!Worker.joinable())
+    return;
+  if (!St.Persist)
+    Job.cancel();
+  Worker.join();
+}
+
+bool JitModule::waitForNative() const {
+  std::unique_lock<std::mutex> Lock(DoneMu);
+  DoneCv.wait(Lock, [&] { return phase() != Phase::Compiling; });
+  return phase() == Phase::Ready;
+}
+
+void JitModule::finish(Phase P, JitStats S) {
+  {
+    std::lock_guard<std::mutex> Lock(DoneMu);
+    Final = std::move(S);
+    Ph.store(P, std::memory_order_release);
+  }
+  DoneCv.notify_all();
+}
+
+bool JitModule::resolve(void *Handle, JitStats &S) {
+  for (auto &[L, NU] : Units) {
+    void *Sym = dlsym(Handle, NU.Plan.Symbol.c_str());
+    if (!Sym) {
+      S.Warning = "blaze jit disabled: symbol '" + NU.Plan.Symbol +
+                  "' missing from the generated object";
+      return false;
+    }
+    NU.Fn = reinterpret_cast<JitFn>(Sym);
+  }
+  S.Compiled = true;
+  S.NativeUnits = Units.size();
+  return true;
+}
+
+/// Formats a failed compile as the one warning an engine build prints.
+static std::string fallbackWarning(const CompileResult &R) {
+  std::string W =
+      "blaze jit disabled, falling back to the interpreter: " + R.Error;
+  if (!R.Diagnostics.empty())
+    W += "\n" + R.Diagnostics;
+  return W;
+}
+
 void JitModule::compile(const Design &D, const LirCache &Cache) {
   St.Enabled = Opts.M != JitOptions::Mode::Off;
   if (!St.Enabled)
-    return;
+    return finish(Phase::Idle, St);
   auto T0 = std::chrono::steady_clock::now();
-  auto Done = [&] {
-    St.CompileSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-            .count();
+  auto elapsed = [T0] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         T0)
+        .count();
   };
 
   // Distinct process units in first-instantiation order: the emission
@@ -108,7 +156,7 @@ void JitModule::compile(const Design &D, const LirCache &Cache) {
   }
 
   std::string Src = emitPrelude();
-  std::vector<const LirUnit *> Native;
+  unsigned NumNative = 0;
   for (const LirUnit *L : ProcUnits) {
     if (!Opts.ForceDeopt.empty() &&
         (Opts.ForceDeopt == "*" ||
@@ -123,8 +171,7 @@ void JitModule::compile(const Design &D, const LirCache &Cache) {
       St.Deopts.push_back({L->U->name(), P.DeoptReason});
       continue;
     }
-    Src += emitUnit(P, Native.size());
-    Native.push_back(L);
+    Src += emitUnit(P, NumNative++);
     Units[L].Plan = std::move(P);
   }
   Source = Src;
@@ -139,42 +186,64 @@ void JitModule::compile(const Design &D, const LirCache &Cache) {
     }
   }
 
-  if (Native.empty()) {
-    // Nothing admitted; not a failure, the interpreter covers it all.
-    Units.clear();
-    Done();
-    return;
+  // Nothing admitted: not a failure, the interpreter covers it all.
+  if (Units.empty()) {
+    St.CompileSeconds = elapsed();
+    return finish(Phase::Idle, St);
   }
 
-  CompileResult R = HostCompiler::compile(Source);
+  CompileRequest Req;
+  CompileResult R = HostCompiler::probe(Source, Req);
   St.CompilerFound = R.CompilerFound;
-  if (!R.ok()) {
-    St.Warning = "blaze jit disabled, falling back to the interpreter: " +
-                 R.Error;
-    if (!R.Diagnostics.empty())
-      St.Warning += "\n" + R.Diagnostics;
-    fprintf(stderr, "llhd-jit: warning: %s\n", St.Warning.c_str());
-    Units.clear();
-    Done();
+  St.Persist = !Req.Published.empty();
+  St.CompileSeconds = elapsed();
+  if (R.ok()) {
+    // Cache hit: bound before the first instant, exactly as if the
+    // compile had been synchronous.
+    St.Outcome = resolve(R.Handle, St) ? Tier::CacheHit : Tier::Failed;
+  } else if (!R.CompilerFound) {
+    St.Warning = fallbackWarning(R);
+    St.Outcome = Tier::Failed;
+  } else {
+    // Miss: only the host compile and dlopen leave the critical path.
+    St.Outcome = Tier::Compiling;
+    Ph.store(Phase::Compiling, std::memory_order_relaxed);
+    try {
+      Worker = std::thread(&JitModule::buildInBackground, this, Req);
+    } catch (const std::system_error &) {
+      buildInBackground(std::move(Req)); // No thread to spare: block.
+    }
     return;
   }
+  if (St.Outcome == Tier::Failed)
+    fprintf(stderr, "llhd-jit: warning: %s\n", St.Warning.c_str());
+  finish(St.Outcome == Tier::CacheHit ? Phase::Ready : Phase::Failed, St);
+}
 
-  for (const LirUnit *L : Native) {
-    NativeUnit &NU = Units[L];
-    void *Sym = dlsym(R.Handle, NU.Plan.Symbol.c_str());
-    if (!Sym) {
-      St.Warning = "blaze jit disabled: symbol '" + NU.Plan.Symbol +
-                   "' missing from the generated object";
-      fprintf(stderr, "llhd-jit: warning: %s\n", St.Warning.c_str());
-      Units.clear();
-      Done();
-      return;
-    }
-    NU.Fn = reinterpret_cast<JitFn>(Sym);
+void JitModule::buildInBackground(CompileRequest Req) {
+  auto T0 = std::chrono::steady_clock::now();
+  CompileResult R;
+  try {
+    R = HostCompiler::build(Req, &Job);
+  } catch (const std::exception &E) { // E.g. bad_alloc: fall back.
+    R.Error = std::string("host compile aborted: ") + E.what();
   }
-  St.Compiled = true;
-  St.NativeUnits = Native.size();
-  Done();
+  JitStats S = St;
+  S.CompileSeconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+          .count();
+  if (R.ok() && resolve(R.Handle, S)) {
+    S.Outcome = Tier::Switched;
+    return finish(Phase::Ready, std::move(S));
+  }
+  S.Outcome = Tier::Failed;
+  if (!R.ok())
+    S.Warning = fallbackWarning(R);
+  // A compile cancelled because its program is going away is no failure
+  // worth a warning.
+  if (!Job.cancelled())
+    fprintf(stderr, "llhd-jit: warning: %s\n", S.Warning.c_str());
+  finish(Phase::Failed, std::move(S));
 }
 
 bool JitModule::bindProcess(LirEngine &Eng, uint32_t ProcIndex,

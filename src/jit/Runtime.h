@@ -17,6 +17,10 @@
 // every distinct process unit, emit one translation unit, compile it
 // via jit/HostCompiler.h, resolve the symbols, and bind per-instance
 // contexts. Any failure leaves the engine interpreting, never broken.
+// On an object-cache miss the host compile runs on a background thread
+// while the engines interpret; they switch to the native code at a
+// physical-instant boundary once it is ready (DESIGN.md, "Tiered
+// compilation").
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,12 +28,17 @@
 #define LLHD_JIT_RUNTIME_H
 
 #include "jit/Codegen.h"
+#include "jit/HostCompiler.h"
 #include "jit/Jit.h"
 #include "sim/Lir.h"
 #include "sim/RtValue.h"
 #include "support/Time.h"
 
+#include <atomic>
+#include <condition_variable>
 #include <map>
+#include <mutex>
+#include <thread>
 
 namespace llhd {
 
@@ -98,27 +107,54 @@ struct ProcContext {
 };
 
 /// One program build's JIT state: the plans, the loaded code, and the
-/// statistics. Owned by LirProgram; after compile() it is read-only and
-/// shared by every engine running over that program.
+/// statistics. Owned by LirProgram and shared by every engine running
+/// over that program. compile() fixes the plans and the synchronous
+/// statistics; a background compile publishes the resolved functions
+/// and its statistics once, before phase() leaves Compiling.
 class JitModule {
 public:
-  explicit JitModule(JitOptions O) : Opts(O) {}
+  explicit JitModule(JitOptions O) : Opts(std::move(O)) {}
+  JitModule(const JitModule &) = delete;
+  JitModule &operator=(const JitModule &) = delete;
+  /// Ends a compile still running in the background: with
+  /// $LLHD_JIT_CACHE set it is awaited, so the object gets published;
+  /// otherwise the compiler's process group is killed, reaped and its
+  /// temp dir removed.
+  ~JitModule();
 
-  /// Plans every distinct process unit of \p D, emits and compiles the
-  /// translation unit, and resolves the symbols. \p Cache must already
-  /// hold every instantiated unit's lowering (LirProgram::build). On any
-  /// failure the module simply ends up with no native units (and a
-  /// warning in the stats); the engines keep interpreting.
+  /// Plans every distinct process unit of \p D, emits the translation
+  /// unit and probes the object caches. On a hit the symbols are
+  /// resolved before returning; on a miss the host compile starts on a
+  /// background thread. \p Cache must already hold every instantiated
+  /// unit's lowering (LirProgram::build). On any failure the module
+  /// simply ends up with no native units (and a warning in the stats);
+  /// the engines keep interpreting.
   void compile(const Design &D, const LirCache &Cache);
+
+  /// Where native code stands: set once by compile(), except that
+  /// Compiling later moves to Ready or Failed, never back. Acquire: once
+  /// Ready, every NativeUnit::Fn is visible.
+  enum class Phase : uint8_t { Idle, Compiling, Ready, Failed };
+  Phase phase() const { return Ph.load(std::memory_order_acquire); }
+
+  /// Blocks until no compile is running; true when native code exists.
+  bool waitForNative() const;
+
+  /// The statistics: compile()'s while Compiling, the final ones after.
+  const JitStats &stats() const {
+    return phase() == Phase::Compiling ? St : Final;
+  }
 
   struct NativeUnit {
     UnitPlan Plan;
     JitFn Fn = nullptr;
   };
 
-  /// The native code for \p L, or null when it deopted (or nothing
-  /// compiled).
+  /// The native code for \p L, or null when it deopted or no code is
+  /// ready.
   const NativeUnit *nativeFor(const LirUnit *L) const {
+    if (phase() != Phase::Ready)
+      return nullptr;
     auto It = Units.find(L);
     return It == Units.end() || !It->second.Fn ? nullptr : &It->second;
   }
@@ -132,12 +168,27 @@ public:
                    const UnitInstance &Inst,
                    const std::vector<RtValue> &Frame, ProcContext &Ctx) const;
 
-  JitStats St;
   std::string Source; ///< The emitted translation unit (for dump/CI).
 
 private:
+  /// Resolves every planned symbol in \p Handle into its unit; false
+  /// with \p S.Warning set when one is missing.
+  bool resolve(void *Handle, JitStats &S);
+  /// Finishes a compile() whose object-cache probe missed: host compile,
+  /// load, resolve, then publish Final and the phase. Runs on Worker.
+  void buildInBackground(CompileRequest Req);
+  /// Publishes the outcome of a compile.
+  void finish(Phase P, JitStats S);
+
   JitOptions Opts;
   std::map<const LirUnit *, NativeUnit> Units;
+  JitStats St;    ///< Fixed by compile().
+  JitStats Final; ///< Written once, before Ph leaves Compiling.
+  std::atomic<Phase> Ph{Phase::Idle};
+  mutable std::mutex DoneMu;
+  mutable std::condition_variable DoneCv;
+  CompileJob Job;
+  std::thread Worker;
 };
 
 } // namespace jit

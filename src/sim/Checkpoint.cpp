@@ -252,7 +252,7 @@ void ckpt::writeHeaderAndKernel(std::vector<uint8_t> &Out,
                                 const SignalTable &Signals,
                                 const Scheduler &Sched,
                                 const Trace &Tr, Time Now,
-                                const SimStats &Stats,
+                                const SimStats &Stats, uint64_t Rng,
                                 const DriverIdMap &Map) {
   bc::putVar(Out, Magic);
   bc::putVar(Out, Version);
@@ -266,6 +266,7 @@ void ckpt::writeHeaderAndKernel(std::vector<uint8_t> &Out,
   bc::putVar(Out, Stats.AssertFailures);
   bc::putVar(Out, Tr.digest());
   bc::putVar(Out, Tr.numChanges());
+  bc::putVar(Out, Rng);
 
   // Signal values + per-driver contributions, canonical ids only (alias
   // views share their root's storage and are reproduced by elaboration).
@@ -307,7 +308,8 @@ void ckpt::writeHeaderAndKernel(std::vector<uint8_t> &Out,
 bool ckpt::readHeaderAndKernel(bc::Reader &R, uint64_t ExpectModuleHash,
                                SignalTable &Signals, Scheduler &Sched,
                                Trace &Tr, Time &Now, SimStats &Stats,
-                               const DriverIdMap &Map, std::string &Err) {
+                               uint64_t &Rng, const DriverIdMap &Map,
+                               std::string &Err) {
   auto fail = [&](const std::string &Msg) {
     if (Err.empty())
       Err = Msg;
@@ -335,6 +337,7 @@ bool ckpt::readHeaderAndKernel(bc::Reader &R, uint64_t ExpectModuleHash,
   Stats.AssertFailures = R.var();
   uint64_t Digest = R.var();
   uint64_t NumChanges = R.var();
+  Rng = R.var();
   if (R.Failed)
     return fail("truncated checkpoint statistics");
   Tr.restoreState(Digest, NumChanges);

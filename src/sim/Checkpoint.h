@@ -3,8 +3,8 @@
 // The versioned on-disk checkpoint format shared by all three engines:
 // full runtime state — signal values and per-driver contributions, both
 // event-wheel lanes, process resumption pcs/frames/memory, reg/del
-// previous-sample state, wake generations, trace digest and statistics
-// counters — serialized with the bitcode primitives (bitcode/Stream.h).
+// previous-sample state, wake generations, trace digest, statistics
+// counters and the stimulus RNG — serialized with the bitcode primitives (bitcode/Stream.h).
 //
 // Engines re-elaborate and re-lower before restoring, so the static
 // world (types, names, LIR layout, instance order) is reproduced rather
@@ -45,7 +45,9 @@ namespace llhd {
 namespace ckpt {
 
 constexpr uint32_t Magic = 0x504b'434c; // "LCKP".
-constexpr uint32_t Version = 1;
+/// Version 2 added the stimulus RNG state to the kernel section; older
+/// images are rejected (a restored $random stream would diverge).
+constexpr uint32_t Version = 2;
 
 /// FNV-1a over the printed module text: the checkpoint compatibility
 /// key. Equal hashes imply equal lowering (lowering is deterministic in
@@ -139,15 +141,17 @@ bool getEnt(bc::Reader &R, EntRecord &E);
 //===----------------------------------------------------------------------===//
 
 /// Writes magic/version/hash/engine-name, then the kernel state: Now,
-/// statistics counters, trace digest, signal values + remapped driver
-/// slots, and both event-wheel lanes. Engines append their proc/ent
+/// statistics counters, trace digest, the stimulus RNG state (\p Rng,
+/// SimState::Rng), signal values + remapped driver slots, and both
+/// event-wheel lanes. Engines append their proc/ent
 /// records after this. \p Signals is the run's signal table (per-run
 /// values over the shared layout).
 void writeHeaderAndKernel(std::vector<uint8_t> &Out, uint64_t ModuleHash,
                           const std::string &EngineName,
                           const SignalTable &Signals,
                           const Scheduler &Sched, const Trace &Tr, Time Now,
-                          const SimStats &Stats, const DriverIdMap &Map);
+                          const SimStats &Stats, uint64_t Rng,
+                          const DriverIdMap &Map);
 
 /// Validates the header against \p ExpectModuleHash and restores the
 /// kernel state (the scheduler is rebuilt by replaying both lanes in
@@ -155,8 +159,8 @@ void writeHeaderAndKernel(std::vector<uint8_t> &Out, uint64_t ModuleHash,
 /// or a corrupt image; \p Sched must be empty (freshly built engine).
 bool readHeaderAndKernel(bc::Reader &R, uint64_t ExpectModuleHash,
                          SignalTable &Signals, Scheduler &Sched, Trace &Tr,
-                         Time &Now, SimStats &Stats, const DriverIdMap &Map,
-                         std::string &Err);
+                         Time &Now, SimStats &Stats, uint64_t &Rng,
+                         const DriverIdMap &Map, std::string &Err);
 
 } // namespace ckpt
 } // namespace llhd

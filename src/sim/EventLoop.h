@@ -6,7 +6,9 @@
 // their own process/entity execution, so scheduling semantics are shared
 // by construction. The engine contract is the EngineTraits concept
 // below; violations fail at the instantiation site with the missing
-// requirement named.
+// requirement named. One optional hook sits outside the concept:
+// an engine with tierPending()/tierUp(Time) (LirEngine) may switch to
+// native code at a physical-instant boundary.
 //
 // Wake sets are computed through dense reverse indices: entity watchers
 // come from Design::EntityWatchers (built at elaboration), and dynamic
@@ -168,6 +170,12 @@ SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
         Stats.Stop = Why;
         break;
       }
+      // Tiered native code: an engine still interpreting while its host
+      // compile runs switches here once the code is ready. Engines bound
+      // at build never take this branch.
+      if constexpr (requires { Eng.tierUp(T); })
+        if (Eng.tierPending()) [[unlikely]]
+          Eng.tierUp(T);
       LastFs = T.Fs;
       DeltasAtInstant = 0;
     } else if (++DeltasAtInstant > Opts.MaxDeltasPerInstant) {

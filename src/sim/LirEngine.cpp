@@ -80,25 +80,69 @@ void LirEngine::buildJit() {
   if (!JM)
     return;
   // Compile-time statistics come from the shared program; the per-run
-  // bind counts below land in this engine's private copy (the program
-  // stays immutable under concurrent batch builds).
-  JitSt = JM->St;
+  // bind counts land in this engine's private copy (the program stays
+  // immutable under concurrent batch builds).
+  JitSt = JM->stats();
+  if (JitSt.Outcome == jit::Tier::Compiling) {
+    // Start interpreting; tierUp() adopts the code when it is ready.
+    JitSt.InterpProcs = Procs.size();
+    TierPending = true;
+    return;
+  }
+  bindNative(/*MoveState=*/false);
+}
+
+void LirEngine::bindNative(bool MoveState) {
+  const jit::JitModule &JM = *Prog->JitMod;
+  JitSt.NativeProcs = JitSt.InterpProcs = 0;
   for (uint32_t PI = 0; PI != Procs.size(); ++PI) {
     ProcState &PS = Procs[PI];
-    const jit::JitModule::NativeUnit *NU = JM->nativeFor(PS.L);
+    const jit::JitModule::NativeUnit *NU = JM.nativeFor(PS.L);
     if (!NU) {
       ++JitSt.InterpProcs;
       continue;
     }
+    // Binding reads only signal and constant slots, which execution
+    // never writes, so a frame that has already run binds like a fresh
+    // one.
     auto Ctx = std::make_unique<jit::ProcContext>();
-    if (!JM->bindProcess(*this, PI, *NU, *PS.Inst, PS.Frame, *Ctx)) {
+    if (!JM.bindProcess(*this, PI, *NU, *PS.Inst, PS.Frame, *Ctx)) {
       ++JitSt.InterpProcs;
       continue;
     }
     PS.Jit = Ctx.get();
+    if (MoveState && !syncToNative(PS)) {
+      PS.Jit = nullptr; // No native entry at this pc: stays interpreted.
+      ++JitSt.InterpProcs;
+      continue;
+    }
     JitCtxs.push_back(std::move(Ctx));
     ++JitSt.NativeProcs;
   }
+}
+
+void LirEngine::tierUp(Time At) {
+  const jit::JitModule &JM = *Prog->JitMod;
+  jit::JitModule::Phase P = JM.phase();
+  if (P == jit::JitModule::Phase::Compiling)
+    return;
+  TierPending = false;
+  JitSt = JM.stats();
+  if (P != jit::JitModule::Phase::Ready) {
+    JitSt.InterpProcs = Procs.size();
+    return;
+  }
+  bindNative(/*MoveState=*/true);
+  JitSt.SwitchTime = At;
+}
+
+bool LirEngine::waitForNative() {
+  if (!Prog->JitMod)
+    return false;
+  Prog->JitMod->waitForNative();
+  if (TierPending)
+    tierUp(Now);
+  return JitSt.NativeProcs != 0;
 }
 
 const jit::JitStats &LirEngine::jitStats() const {
@@ -461,6 +505,8 @@ void LirEngine::evalEntity(uint32_t EI, bool Initial) {
 }
 
 SimStats LirEngine::run() {
+  if (TierPending)
+    tierUp(Now);
   return runEventLoop(*this, D, Opts, St, Resumed);
 }
 
@@ -597,7 +643,7 @@ void LirEngine::checkpoint(std::vector<uint8_t> &Out) {
   ckpt::DriverIdMap Map;
   Map.build(D, Cache);
   ckpt::writeHeaderAndKernel(Out, ckpt::moduleHash(*D.M), EngineName,
-                             Signals, Sched, Tr, Now, Stats, Map);
+                             Signals, Sched, Tr, Now, Stats, St.Rng, Map);
 
   bc::putVar(Out, Procs.size());
   for (const ProcState &PS : Procs) {
@@ -630,7 +676,7 @@ bool LirEngine::restore(const std::vector<uint8_t> &In, std::string &Err) {
   ckpt::DriverIdMap Map;
   Map.build(D, Cache);
   if (!ckpt::readHeaderAndKernel(R, ckpt::moduleHash(*D.M), Signals, Sched,
-                                 Tr, Now, Stats, Map, Err))
+                                 Tr, Now, Stats, St.Rng, Map, Err))
     return false;
 
   if (R.var() != Procs.size() || R.Failed) {

@@ -66,6 +66,24 @@ public:
   SimStats run();
 
   //===------------------------------------------------------------------===//
+  // Tiered native code (DESIGN.md, "Tiered compilation")
+  //===------------------------------------------------------------------===//
+
+  /// True while the program's host compile runs in the background and
+  /// this run interprets. A plain flag: the event loop tests it at every
+  /// physical-instant boundary.
+  bool tierPending() const { return TierPending; }
+  /// Switches to native code if the program's compile has finished:
+  /// binds every admitted process and moves its interpreter state over
+  /// (syncToNative, as restore does). Call only between instants (at
+  /// run() entry, at a boundary, or from a run-control hook); \p At is
+  /// the first instant that runs natively.
+  void tierUp(Time At);
+  /// Blocks until the program's compile has finished, then switches.
+  /// True when native code is bound.
+  bool waitForNative();
+
+  //===------------------------------------------------------------------===//
   // Checkpoint / restore (sim/Checkpoint.h)
   //===------------------------------------------------------------------===//
 
@@ -195,6 +213,9 @@ private:
   /// Binds this run's process instances to the program's native code
   /// (no-op when the JIT is off); called at the end of build().
   void buildJit();
+  /// Binds every process the program has native code for. \p MoveState
+  /// carries interpreter state that has already run over (tierUp).
+  void bindNative(bool MoveState);
   /// Copies a natively-executing process's lane state back into the
   /// interpreter-visible Frame/Memory/Pc before checkpointing.
   void syncFromNative(ProcState &PS);
@@ -239,6 +260,7 @@ private:
   /// the program, bind counts from this run).
   std::vector<std::unique_ptr<jit::ProcContext>> JitCtxs;
   jit::JitStats JitSt;
+  bool TierPending = false;
 };
 
 } // namespace llhd

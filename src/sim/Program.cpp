@@ -10,7 +10,11 @@
 using namespace llhd;
 
 LirProgram::LirProgram() = default;
-LirProgram::~LirProgram() = default;
+LirProgram::~LirProgram() { JitMod.reset(); }
+
+bool LirProgram::waitForNative() const {
+  return JitMod && JitMod->waitForNative();
+}
 
 std::shared_ptr<const LirProgram>
 LirProgram::build(Design D, jit::JitOptions J,

@@ -41,18 +41,27 @@ struct LirProgram {
   LirCache Cache;
   jit::JitOptions JitOpts;
   /// Native code compiled from the admissible process units; null when
-  /// the JIT is off or the design is invalid. Immutable after build():
-  /// per-run binding state lives in jit::ProcContext, per-run counters
-  /// in the engines' own JitStats copies.
+  /// the JIT is off or the design is invalid. Immutable after build()
+  /// apart from a background host compile, which publishes its code once
+  /// (jit::JitModule::phase()). Per-run binding state lives in
+  /// jit::ProcContext, per-run counters in the engines' own JitStats.
   std::unique_ptr<jit::JitModule> JitMod;
   /// Keeps frontend artifacts alive for the program's lifetime (e.g.
   /// Blaze's cloned + optimised module and its Context).
   std::shared_ptr<void> Frontend;
 
   LirProgram();
+  /// Ends a background compile first (see ~JitModule), while the design
+  /// and frontend it was planned from are still alive.
   ~LirProgram();
 
   bool ok() const { return D.ok(); }
+
+  /// Blocks until the host compile, if one runs in the background, has
+  /// finished. True when native code is available. Engines still adopt
+  /// it only at their next instant boundary; BlazeSim::waitForNative()
+  /// also switches its engine at once.
+  bool waitForNative() const;
 
   /// Lowers every reachable unit of \p D (instances, then the function
   /// call graph to a fixpoint) and JIT-compiles when \p J asks for it.

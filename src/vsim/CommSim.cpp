@@ -525,7 +525,7 @@ struct CommSim::Impl {
     Map.build(design(), Prog->Base->Cache);
     ckpt::writeHeaderAndKernel(Out, ckpt::moduleHash(*design().M), "comm",
                                St.Signals, St.Sched, St.Tr, St.Now,
-                               St.Stats, Map);
+                               St.Stats, St.Rng, Map);
 
     bc::putVar(Out, Procs.size());
     for (const CsProcState &PS : Procs) {
@@ -562,7 +562,7 @@ struct CommSim::Impl {
     Map.build(design(), Prog->Base->Cache);
     if (!ckpt::readHeaderAndKernel(R, ckpt::moduleHash(*design().M),
                                    St.Signals, St.Sched, St.Tr, St.Now,
-                                   St.Stats, Map, RErr))
+                                   St.Stats, St.Rng, Map, RErr))
       return false;
 
     if (R.var() != Procs.size() || R.Failed) {

@@ -157,7 +157,11 @@ TEST(AllocGuard, BlazeSteadyStateIsAllocationFree) {
   auto Make = [](Module &M, uint64_t Cycles) {
     BlazeSim::BlazeOptions Opts;
     static_cast<SimOptions &>(Opts) = optsFor(Cycles);
-    return std::make_unique<BlazeSim>(M, "top", Opts);
+    auto Sim = std::make_unique<BlazeSim>(M, "top", Opts);
+    // Native from the first instant: no background compile (or tier-up
+    // binding) may allocate inside the counted run.
+    Sim->waitForNative();
+    return Sim;
   };
   RunResult Short = countRun(200, Make);
   RunResult Long = countRun(400, Make);

@@ -4,17 +4,21 @@
 // shared program (sim/Batch.h) must be indistinguishable from a plain
 // sequential run with the same seed — same trace digest on every engine,
 // byte-identical VCD, same plusarg visibility. On top of that, seeds must
-// actually matter ($random diverges across the fleet) and the batch run
-// path must stay allocation-free in steady state, AllocGuard-style.
+// actually matter ($random diverges across the fleet), the batch run
+// path must stay allocation-free in steady state, AllocGuard-style, and
+// a cold-cache fleet must switch to native code concurrently without
+// changing a trace.
 //
 //===----------------------------------------------------------------------===//
 
 #include "asm/Parser.h"
 #include "blaze/Blaze.h"
 #include "designs/Designs.h"
+#include "jit/HostCompiler.h"
 #include "moore/Compiler.h"
 #include "sim/Batch.h"
 #include "sim/Interp.h"
+#include "sim/Program.h"
 #include "sim/Wave.h"
 #include "vsim/CommSim.h"
 
@@ -28,6 +32,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unistd.h>
 
 static std::atomic<size_t> GNewCount{0};
@@ -404,5 +409,67 @@ TEST(Batch, DesignsSuiteSmoke) {
             << D.Key << "/" << Engine << " instance " << BI.Index;
       }
     }
+  }
+}
+
+// A cold-cache fleet: the shared program's host compile runs in the
+// background while all instances start interpreting, then every instance
+// switches to the native code at an instant boundary, concurrently with
+// its siblings (a checkpoint hook halfway through blocks until the code
+// is ready). Each instance must still match the interpreter — and
+// under the CI ThreadSanitizer job, the one-time publication of the
+// code to the running instances must be race-free.
+TEST(Batch, ColdCacheInstancesSwitchConcurrently) {
+  // The object caches key on (compiler, source): a spelling of the
+  // compiler no other test uses makes this program's build a miss.
+  std::string C = jit::HostCompiler::findCompiler();
+  size_t Slash = C.rfind('/');
+  if (Slash == std::string::npos)
+    GTEST_SKIP() << "no host compiler with a path";
+  std::string Cold = C.substr(0, Slash + 1) + "././" + C.substr(Slash + 1);
+  setenv("LLHD_JIT_CXX", Cold.c_str(), 1);
+
+  const unsigned N = 4;
+  Context Ctx;
+  Module M(Ctx, "cold_batch");
+  ParseResult Parsed = parseModule(CounterSrc, M);
+  ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
+  SimOptions Base;
+  Base.MaxTime = Time::ns(400);
+  InterpSim Ref(elaborate(M, "top"), Base);
+  Ref.run();
+
+  BlazeSim::BlazeOptions BO;
+  std::string Err;
+  std::shared_ptr<const LirProgram> Prog =
+      BlazeSim::buildProgram(M, "top", BO, Err);
+  unsetenv("LLHD_JIT_CXX");
+  ASSERT_TRUE(Prog) << Err;
+
+  std::vector<uint64_t> Digests(N);
+  std::vector<jit::JitStats> Stats(N);
+  std::vector<std::thread> Pool;
+  for (unsigned I = 0; I != N; ++I)
+    Pool.emplace_back([&, I] {
+      SimOptions O = Base;
+      O.Seed = I;
+      O.RC.CheckpointEveryFs = Time::ns(200).Fs;
+      BlazeSim Sim(Prog, O);
+      Sim.options().RC.Checkpoint = [&](Time) {
+        Prog->waitForNative();
+        return true;
+      };
+      Sim.run();
+      Digests[I] = Sim.trace().digest();
+      Stats[I] = Sim.jitStats();
+    });
+  for (std::thread &T : Pool)
+    T.join();
+
+  for (unsigned I = 0; I != N; ++I) {
+    EXPECT_EQ(Digests[I], Ref.trace().digest()) << "instance " << I;
+    EXPECT_EQ(Stats[I].Outcome, jit::Tier::Switched)
+        << "instance " << I << ": " << Stats[I].Warning;
+    EXPECT_GT(Stats[I].NativeProcs, 0u) << "instance " << I;
   }
 }

@@ -5,8 +5,9 @@
 // must be indistinguishable from an uninterrupted run — the trace digest
 // matches and the two VCD fragments concatenate byte-identically to the
 // reference dump. Swept over the Table 2 designs suite for all three
-// engines, plus the cross-engine (interp <-> comm) and JIT-Blaze
-// forced-deopt resume paths and the image-corruption error cases.
+// engines, plus a $urandom design (the stimulus RNG is part of the
+// image), the cross-engine (interp <-> comm) and JIT-Blaze forced-deopt
+// resume paths, and the image-corruption and old-version error cases.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +58,8 @@ auto makeBlaze(Module &M, const std::string &Top, const SimOptions &O,
   BO.Jit.ForceDeopt = ForceDeopt;
   auto Sim = std::make_unique<BlazeSim>(M, Top, BO);
   EXPECT_TRUE(Sim->valid()) << Sim->error();
+  // Native from the first instant, so the images carry native state.
+  Sim->waitForNative();
   return Sim;
 }
 
@@ -155,6 +158,40 @@ INSTANTIATE_TEST_SUITE_P(
                       "cdc_strobe", "rr_arbiter", "stream_delayer",
                       "riscv"),
     [](const ::testing::TestParamInfo<std::string> &I) { return I.param; });
+
+// Seeded stimulus survives kill-and-resume: the image carries the
+// $urandom generator's state, so the resumed half draws the same
+// numbers the uninterrupted run drew — on every engine.
+TEST(Checkpoint, UrandomKillAndResume) {
+  designs::DesignInfo D;
+  D.Key = "urandom_tb";
+  D.TopModule = "urandom_tb";
+  D.Source = R"(
+module urandom_tb;
+  bit clk;
+  bit [31:0] r;
+  bit [31:0] acc;
+  initial begin
+    repeat (40) begin
+      clk = ~clk;
+      r = $urandom;
+      acc = acc ^ r;
+      #1ns;
+    end
+    $finish;
+  end
+endmodule
+)";
+  killAndResume(D, [](Module &M, const std::string &T, const SimOptions &O) {
+    return makeInterp(M, T, O);
+  });
+  killAndResume(D, [](Module &M, const std::string &T, const SimOptions &O) {
+    return makeBlaze(M, T, O);
+  });
+  killAndResume(D, [](Module &M, const std::string &T, const SimOptions &O) {
+    return makeComm(M, T, O);
+  });
+}
 
 // A checkpoint written by the reference interpreter restores into
 // CommSim mid-run (and vice versa): both simulate the caller's module
@@ -314,6 +351,16 @@ TEST(Checkpoint, RejectsCorruptAndMismatchedImages) {
   std::string Top2 = compileDesign(D2, M2);
   EXPECT_FALSE(makeInterp(M2, Top2, O)->restore(Image, Err));
   EXPECT_NE(Err.find("module"), std::string::npos) << Err;
+
+  // An image of the previous format version (no RNG state) is refused
+  // through the version check. The version is the LEB128 varint after
+  // the five-byte magic.
+  ASSERT_EQ(Image[5], 2u);
+  std::vector<uint8_t> Old = Image;
+  Old[5] = 1;
+  EXPECT_FALSE(makeInterp(M, Top, O)->restore(Old, Err));
+  EXPECT_NE(Err.find("unsupported checkpoint version 1"), std::string::npos)
+      << Err;
 
   // And the original image still restores fine after all that.
   EXPECT_TRUE(makeInterp(M, Top, O)->restore(Image, Err)) << Err;

@@ -54,7 +54,10 @@ void printUsage() {
           "  --no-opt         disable Blaze's pre-compilation pipeline\n"
           "  --jit=<m>        Blaze native code generation: on (default),\n"
           "                   off, or dump (also writes the generated C++\n"
-          "                   next to the design as <input>.jit.cpp)\n"
+          "                   next to the design as <input>.jit.cpp);\n"
+          "                   the host compile runs in the background\n"
+          "                   while the run starts interpreted, which\n"
+          "                   switches to native code once it is ready\n"
           "  --jit-deopt=<s>  force process units whose name contains <s>\n"
           "                   (\"*\" for all) back to the interpreter\n"
           "  --lint[=error]   run the static design checks (llhd-lint)\n"
@@ -223,6 +226,34 @@ std::string detectTop(const Module &M, std::string &Error) {
   return "";
 }
 
+/// The --stats line for Blaze's native code: counts, compile time, and
+/// how the code reached the run (tiered compilation, DESIGN.md).
+void printJitStats(const jit::JitStats &J) {
+  if (!J.Enabled)
+    return;
+  std::string Outcome;
+  switch (J.Outcome) {
+  case jit::Tier::None: Outcome = "nothing to compile"; break;
+  case jit::Tier::CacheHit: Outcome = "cache hit"; break;
+  case jit::Tier::Switched:
+    Outcome = "switched to native at " + J.SwitchTime.toString();
+    break;
+  case jit::Tier::Compiling:
+    Outcome = J.Persist ? "still compiling at exit, publishing to "
+                          "$LLHD_JIT_CACHE"
+                        : "still compiling at exit, cancelled";
+    break;
+  case jit::Tier::Failed: Outcome = "failed, interpreted"; break;
+  }
+  fprintf(stderr,
+          "blaze jit: %u native unit(s), %u deopt(s), %u native / "
+          "%u interpreted instance(s), compile %.1f ms, %s\n",
+          J.NativeUnits, J.DeoptUnits, J.NativeProcs, J.InterpProcs,
+          J.CompileSeconds * 1000, Outcome.c_str());
+  for (const auto &[U, R] : J.Deopts)
+    fprintf(stderr, "blaze jit: deopt @%s: %s\n", U.c_str(), R.c_str());
+}
+
 /// Runs one engine over \p M. \p WantVcd attaches a WaveWriter: with a
 /// \p VcdStream it streams there (bounded memory, arbitrary run
 /// length), otherwise the text lands in the outcome for comparison.
@@ -298,20 +329,9 @@ int runEngine(const std::string &Engine, Module &M, const std::string &Top,
     BlazeSim Sim(M, Top, BOpts);
     if (!Sim.valid())
       return inputError(Sim.error());
-    if (Cfg.Stats) {
-      const jit::JitStats &J = Sim.jitStats();
-      if (J.Enabled) {
-        fprintf(stderr,
-                "blaze jit: %u native unit(s), %u deopt(s), %u native / "
-                "%u interpreted instance(s), compile %.1f ms\n",
-                J.NativeUnits, J.DeoptUnits, J.NativeProcs, J.InterpProcs,
-                J.CompileSeconds * 1000);
-        for (const auto &[U, R] : J.Deopts)
-          fprintf(stderr, "blaze jit: deopt @%s: %s\n", U.c_str(),
-                  R.c_str());
-      }
-    }
     Rc = simulate(Sim);
+    if (Cfg.Stats)
+      printJitStats(Sim.jitStats());
   } else if (Engine == "comm") {
     CommSim Sim(M, Top, Opts);
     if (!Sim.valid())
